@@ -32,8 +32,8 @@ which ``--quiet`` / ``REPRO_QUIET=1`` silences):
   (:mod:`repro.report`) from a merged run directory plus the committed
   ``BENCH_*.json`` history.
 * ``serve`` — the long-lived evaluation server (:mod:`repro.server`):
-  warm caches, request batching, JSON-over-HTTP, deadline-based load
-  shedding and a SIGTERM drain that finishes in-flight requests.
+  warm caches, JSON-over-HTTP, deadline-based load shedding and a SIGTERM
+  drain that finishes in-flight requests.
 * ``query`` — one protocol request against a running server, envelope on
   stdout (exit 0 only for an ``ok`` envelope).
 * ``store`` — result-store maintenance: ``scrub`` detects corrupt or
@@ -219,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve evaluate/pareto/experiments/status requests over "
                     "JSON-over-HTTP, keeping the LUT tables, the hardware "
                     "characterisation cache and the result store warm "
-                    "between requests and batching concurrent same-workload "
-                    "evaluations into single sweeps.")
+                    "between requests.")
     serve.add_argument("--host", default="127.0.0.1", metavar="ADDR",
                        help="interface to bind (default: %(default)s)")
     serve.add_argument("--port", type=int, default=8023, metavar="PORT",
@@ -235,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", metavar="DIR", default=None,
                        help="persistent result store shared by all "
                             "requests; warm hits are served from it")
-    serve.add_argument("--batch-window", type=float, default=0.02,
-                       metavar="SECONDS",
-                       help="how long a cold evaluate waits to coalesce "
-                            "with concurrent requests; 0 disables batching "
-                            "(default: %(default)s)")
     serve.add_argument("--table-cache-limit", type=int, default=None,
                        metavar="N",
                        help="LRU cap on the process-wide LUT table cache "
@@ -744,7 +738,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     server = EvalServer(host=args.host, port=args.port, store=args.store,
                         backend=args.backend, workers=args.workers,
-                        batch_window_s=args.batch_window,
                         table_cache_limit=args.table_cache_limit,
                         deadline_s=args.deadline)
     _log(f"serving on {server.url} (workers={args.workers}, "

@@ -579,10 +579,12 @@ class LutBackend(ExecutionBackend):
 
         A sum-addressable operator computes a pure function of the *wrapped*
         sum, which is periodic in ``a + b`` with period ``2**N`` — so one
-        table over a single period plus modular indexing covers every int64
-        operand sum with no bounds checks at all.
+        table over a single period, indexed by the low ``N`` bits of the
+        sum, covers every int64 operand sum (an overflowing one included)
+        with no bounds checks at all.
         """
-        return np.take(_sum_table(operator), a + b, mode="wrap")
+        table = _sum_table(operator)
+        return table[(a + b) & (table.size - 1)]
 
     def _pair_lookup(self, operator: Operator, a: np.ndarray,
                      b: np.ndarray, in_range: bool = False
@@ -830,7 +832,8 @@ class CompiledBackend(ExecutionBackend):
             return np.asarray(operator.aligned(a_arr, b_arr), dtype=np.int64)
         if operator.sum_addressable \
                 and operator.input_width <= self.max_value_width:
-            return np.take(_sum_table(operator), a_arr + b_arr, mode="wrap")
+            table = _sum_table(operator)
+            return table[(a_arr + b_arr) & (table.size - 1)]
         kernel = self._kernel(operator)
         if not in_range:
             lo, hi = operator.input_range()

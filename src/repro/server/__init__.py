@@ -6,7 +6,7 @@ throws the warm process away.  This package keeps the process alive: a
 JSON-over-HTTP service (stdlib only) holding the warm process-wide LUT
 cache, the shared hardware-characterisation cache and an open
 :class:`~repro.core.store.ResultStore`, answering design-space queries from
-concurrent clients with request batching.
+concurrent clients.
 
 Layers:
 
@@ -15,15 +15,12 @@ Layers:
 * :mod:`repro.server.dispatch` — the action handlers (``evaluate``,
   ``pareto``, ``experiments``, ``status``) over one shared
   :class:`ServerState`;
-* :mod:`repro.server.batching` — the queue that coalesces concurrent
-  ``evaluate`` requests for the same workload into one banked sweep;
 * :mod:`repro.server.app` — the :class:`EvalServer` HTTP front
   (``python -m repro serve``);
 * :mod:`repro.server.client` — the thin query client
   (``python -m repro query`` and ``benchmarks/serve_bench.py``).
 """
 from .app import EvalServer
-from .batching import BatchQueue
 from .client import ServerUnavailable, query
 from .dispatch import ServerState, dispatch
 from .protocol import (
@@ -38,7 +35,6 @@ from .protocol import (
 )
 
 __all__ = [
-    "BatchQueue",
     "ERROR_BAD_REQUEST",
     "ERROR_INTERNAL",
     "ERROR_INVALID_PARAMS",

@@ -11,10 +11,9 @@ Actions:
     Run one design point (workload × operator × seed × backend) and return
     its result row.  Points recorded in the shared
     :class:`~repro.core.store.ResultStore` are served warm and immediately;
-    cold points flow through the :class:`~repro.server.batching.BatchQueue`,
-    which coalesces concurrent same-workload evaluations into one banked
-    sweep.  Batched, warm or cold, the row is bit-identical to a direct
-    single-threaded :class:`~repro.core.study.Study` run.
+    cold points are computed under one worker slot.  Warm or cold, the row
+    is bit-identical to a direct single-threaded
+    :class:`~repro.core.study.Study` run.
 ``pareto``
     Quality-versus-cost Pareto front of a described design space over a
     workload, using the incremental front machinery (and the store, so a
@@ -24,7 +23,8 @@ Actions:
     backends.
 ``status``
     Uptime, per-action request counters, in-flight requests, store /
-    LUT-table / characterisation cache statistics and batching counters.
+    LUT-table / characterisation cache statistics and the cold-evaluation
+    counter.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import contextlib
 import json
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, Optional
 
 from ..core.backends import (
     cache_stats,
@@ -52,11 +52,10 @@ from ..core.designspace import (
     sized_multiplier_axis,
 )
 from ..core.registry import describe_operators, parse_operator, registered_mnemonics
-from ..core.store import ResultStore, StoreLike, canonical_key
+from ..core.store import ResultStore, StoreLike
 from ..core.study import Study
 from ..operators.base import AdderOperator, MultiplierOperator
 from ..workloads.registry import registered_workloads
-from .batching import BatchQueue
 from .protocol import (
     ERROR_INTERNAL,
     ERROR_INVALID_PARAMS,
@@ -91,14 +90,14 @@ class ServerState:
     """Everything the long-lived server shares across request threads.
 
     One open :class:`~repro.core.store.ResultStore`, one energy model (and
-    therefore one hardware-characterisation cache), one batching queue, and
-    the request/error counters the ``status`` action reports.  The
+    therefore one hardware-characterisation cache), and the request, error
+    and cold-evaluation counters the ``status`` action reports.  The
     process-wide LUT table cache is shared implicitly; its LRU cap is
     applied here so a long-lived server cannot grow it without bound.
     """
 
     def __init__(self, store: StoreLike = None, backend: str = "lut",
-                 workers: int = 4, batch_window_s: float = 0.02,
+                 workers: int = 4,
                  table_cache_limit: Optional[int] = None,
                  deadline_s: Optional[float] = None) -> None:
         if workers < 1:
@@ -110,7 +109,6 @@ class ServerState:
         self.workers = int(workers)
         self.deadline_s = deadline_s
         self.energy_model = _SharedEnergyModel(store=self.store)
-        self.batcher = BatchQueue(window_s=batch_window_s)
         self.table_cache_limit = set_table_cache_limit(table_cache_limit)
         self.started_monotonic = time.monotonic()
         self._slots = threading.BoundedSemaphore(self.workers)
@@ -119,6 +117,7 @@ class ServerState:
         self._errors: Dict[str, int] = {}
         self._in_flight = 0
         self._shed = 0
+        self._cold = 0
 
     @contextlib.contextmanager
     def worker_slot(self) -> Iterator[None]:
@@ -162,6 +161,10 @@ class ServerState:
             if code is not None:
                 self._errors[code] = self._errors.get(code, 0) + 1
 
+    def _count_cold(self) -> None:
+        with self._lock:
+            self._cold += 1
+
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             return {
@@ -169,6 +172,11 @@ class ServerState:
                 "errors": dict(sorted(self._errors.items())),
                 "in_flight": self._in_flight,
                 "shed": self._shed,
+                # perfbench/serve_mix.py and benchmarks/serve_bench.py read
+                # these keys.  Cold evaluations never share a computation,
+                # so none coalesces.
+                "batching": {"requests": self._cold, "coalesced": 0,
+                             "largest_batch": min(self._cold, 1)},
             }
 
 
@@ -231,9 +239,9 @@ def _jsonable(value: object) -> object:
 # --------------------------------------------------------------------------- #
 # evaluate
 # --------------------------------------------------------------------------- #
-def _evaluate_study(state: ServerState, params: Dict[str, object],
-                    operators: Sequence[str]) -> Study:
-    """The sweep a (possibly batched) evaluate request resolves to."""
+def _evaluate_study(state: ServerState, params: Dict[str, object]) -> Study:
+    """The one-point sweep an evaluate request resolves to."""
+    operator = _require_str(params, "operator")
     workload = _require_str(params, "workload")
     axis = _optional_str(params, "axis", "operator")
     if axis not in _AXES:
@@ -244,20 +252,12 @@ def _evaluate_study(state: ServerState, params: Dict[str, object],
              .seed(_optional_int(params, "seed", 0))
              .backend(_optional_str(params, "backend", state.backend)))
     getattr(study, {"operator": "operators", "adder": "adders",
-                    "multiplier": "multipliers"}[axis])(list(operators))
+                    "multiplier": "multipliers"}[axis])([operator])
     if _optional_bool(params, "energy", True):
         study.energy(state.energy_model)
     if state.store is not None:
         study.store(state.store)
     return study
-
-
-def _evaluate_group_key(params: Dict[str, object]) -> str:
-    """Batch group: everything of an evaluate request but the operator."""
-    identity = {name: canonical_key(params.get(name))
-                for name in ("workload", "axis", "seed", "backend",
-                             "config", "energy")}
-    return json.dumps(identity, sort_keys=True)
 
 
 def _normalized_evaluate_params(params: Dict[str, object]
@@ -266,8 +266,7 @@ def _normalized_evaluate_params(params: Dict[str, object]
 
     ``{"adder": "RCA"}`` is shorthand for ``{"operator": "RCA", "axis":
     "adder"}`` (likewise ``multiplier``) — one keystroke-friendly spelling
-    for clients, one canonical shape for the handler and the batch group
-    key.
+    for clients, one canonical shape for the handler.
     """
     sugar = [name for name in ("adder", "multiplier") if name in params]
     if not sugar:
@@ -284,28 +283,18 @@ def _normalized_evaluate_params(params: Dict[str, object]
 
 def _evaluate(state: ServerState, params: Dict[str, object]
               ) -> Dict[str, object]:
-    params = _normalized_evaluate_params(params)
-    operator = _require_str(params, "operator")
-    study = _evaluate_study(state, params, [operator])
+    study = _evaluate_study(state, _normalized_evaluate_params(params))
     key = study.point_keys()[0]
     cached = state.store is not None and state.store.contains("sweep", key)
     started = time.perf_counter()
     if cached:
-        # Warm point: served from the open store in milliseconds — never
-        # made to wait out a batching window.
+        # Warm point: served from the open store in milliseconds, without
+        # waiting for a worker slot.
         row = study.run().rows[0]
     else:
-        def run_batch(operators: List[object]) -> Sequence[object]:
-            # Only the batch leader computes, and only while holding a
-            # worker slot — followers wait slot-free, so the worker cap
-            # bounds concurrent sweeps without capping coalescing width.
-            with state.worker_slot():
-                batched = _evaluate_study(state, params,
-                                          [str(op) for op in operators])
-                return batched.run().rows
-
-        row = state.batcher.submit(_evaluate_group_key(params), operator,
-                                   run_batch)
+        with state.worker_slot():
+            row = study.run().rows[0]
+        state._count_cold()
     return {
         "row": _jsonable(row),
         "cached": cached,
@@ -447,7 +436,6 @@ def _status(state: ServerState, params: Dict[str, object]
         "store": state.store.stats() if state.store is not None else None,
         "table_cache": cache_stats(),
         "hardware_cache": {"reports": len(state.energy_model._cache)},
-        "batching": state.batcher.stats(),
     }
 
 

@@ -23,7 +23,8 @@ the status code only as a transport-level hint.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
+import math
+from typing import Dict, NoReturn, Optional, Tuple
 
 #: The request body (or its JSON) is not a valid request document.
 ERROR_BAD_REQUEST = "bad_request"
@@ -91,15 +92,29 @@ def http_status(envelope: Dict[str, object]) -> int:
     return HTTP_STATUS.get(str(envelope.get("code")), 500)
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows a double")
+    return value
+
+
 def parse_request(body: bytes) -> Tuple[str, Dict[str, object]]:
     """Decode a request body into ``(action, params)``.
 
     Raises :class:`ProtocolError` with :data:`ERROR_BAD_REQUEST` on
-    malformed JSON, a non-object document, a missing/non-string ``action``
-    or a non-object ``params``.
+    malformed JSON (including the non-standard ``NaN``/``Infinity``
+    constants and numbers too large for a double), a non-object document,
+    a missing/non-string ``action`` or a non-object ``params``.
     """
     try:
-        document = json.loads(body.decode("utf-8"))
+        document = json.loads(body.decode("utf-8"),
+                              parse_constant=_reject_constant,
+                              parse_float=_finite_float)
     except (UnicodeDecodeError, ValueError) as error:
         raise ProtocolError(ERROR_BAD_REQUEST,
                             f"request body is not valid JSON: {error}") \

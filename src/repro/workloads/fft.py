@@ -60,12 +60,21 @@ class FftWorkload(Workload):
         size = int(config["size"])
         width = int(config["data_width"])
         base_seed = int(config.get("seed", 0))
+        frames = int(config["frames"])
+        if frames < 1:
+            raise ValueError(f"fft config 'frames' must be at least 1, "
+                             f"got {frames}")
+        amplitude = float(config["amplitude"])
+        # NaN fails both comparisons, so it is rejected with the infinities.
+        if not 0.0 <= amplitude <= 1.0:
+            raise ValueError(f"fft config 'amplitude' must be a finite "
+                             f"number in [0, 1], got {amplitude}")
         # Stimulus codes live on the datapath grid: Q1.(width-1) fractions
         # (identical to the seed setup at the default 16-bit width).
-        signals = [random_q15_signal(size, amplitude=float(config["amplitude"]),
+        signals = [random_q15_signal(size, amplitude=amplitude,
                                      seed=base_seed + frame,
                                      frac_bits=width - 1)
-                   for frame in range(int(config["frames"]))]
+                   for frame in range(frames)]
         stage_adders = config.get("stage_adders")
         if stage_adders:
             if operators.adder is not None:

@@ -130,6 +130,24 @@ class TestLutEquivalence(object):
             lut = LutBackend().execute(operator, a, b)
             assert np.array_equal(direct, lut), spec
 
+    @pytest.mark.parametrize("backend", ["lut", "compiled"])
+    def test_sum_table_gathers_far_out_of_range_operands(self, backend):
+        """The sum table is indexed by the sum's low bits, not by stepping.
+
+        A wrapping gather that walks one period per step never returns for
+        a sum near -2**51; the masked index answers in one pass.
+        """
+        import time
+
+        operator = parse_operator("ADD(16)")
+        a = np.array([-(1 << 50)], dtype=np.int64)
+        b = np.array([-(1 << 50)], dtype=np.int64)
+        direct = DirectBackend().execute(operator, a, b)
+        started = time.perf_counter()
+        served = create_backend(backend).execute(operator, a, b)
+        assert time.perf_counter() - started < 1.0
+        assert np.array_equal(direct, served)
+
     def test_wide_general_operands_fall_back_to_direct(self):
         """16-bit approximate adders on general arrays use the functional model."""
         clear_table_cache()

@@ -1,4 +1,4 @@
-"""The evaluation server: protocol contract, batching, cache warmth.
+"""The evaluation server: protocol contract, cold and warm evaluation.
 
 Three layers under test, mirroring the package:
 
@@ -18,9 +18,9 @@ import urllib.request
 import pytest
 
 from repro.core.results import _jsonify
+from repro.core.store import ResultStore
 from repro.core.study import Study
 from repro.server import (
-    BatchQueue,
     EvalServer,
     ProtocolError,
     ServerState,
@@ -92,87 +92,12 @@ class TestProtocol:
 
 
 # --------------------------------------------------------------------------- #
-# Batching
-# --------------------------------------------------------------------------- #
-class TestBatchQueue:
-    def test_single_submit_executes_alone(self):
-        queue = BatchQueue(window_s=0)
-        result = queue.submit("g", 3, lambda items: [item * 2
-                                                     for item in items])
-        assert result == 6
-        assert queue.stats()["batches"] == 1
-        assert queue.stats()["coalesced"] == 0
-
-    def test_concurrent_submits_coalesce_into_one_execution(self):
-        queue = BatchQueue(window_s=0.1)
-        executions = []
-        results = {}
-
-        def execute(items):
-            executions.append(list(items))
-            return [item * 10 for item in items]
-
-        def submit(item):
-            results[item] = queue.submit("g", item, execute)
-
-        threads = [threading.Thread(target=submit, args=(i,))
-                   for i in range(5)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(executions) == 1
-        assert sorted(executions[0]) == [0, 1, 2, 3, 4]
-        assert results == {i: i * 10 for i in range(5)}
-        stats = queue.stats()
-        assert stats["batches"] == 1
-        assert stats["requests"] == 5
-        assert stats["largest_batch"] == 5
-        assert stats["coalesced"] == 4
-
-    def test_different_groups_do_not_coalesce(self):
-        queue = BatchQueue(window_s=0)
-        queue.submit("a", 1, lambda items: items)
-        queue.submit("b", 2, lambda items: items)
-        assert queue.stats()["batches"] == 2
-
-    def test_executor_failure_propagates_to_every_member(self):
-        queue = BatchQueue(window_s=0.05)
-        failures = []
-
-        def submit():
-            try:
-                queue.submit("g", 0, boom)
-            except RuntimeError as error:
-                failures.append(str(error))
-
-        def boom(items):
-            raise RuntimeError("sweep exploded")
-
-        threads = [threading.Thread(target=submit) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert failures == ["sweep exploded"] * 3
-
-    def test_wrong_result_count_is_an_error(self):
-        queue = BatchQueue(window_s=0)
-        with pytest.raises(RuntimeError, match="2 results for 1 items"):
-            queue.submit("g", 0, lambda items: [1, 2])
-
-    def test_negative_window_is_rejected(self):
-        with pytest.raises(ValueError):
-            BatchQueue(window_s=-0.1)
-
-
-# --------------------------------------------------------------------------- #
 # Dispatch
 # --------------------------------------------------------------------------- #
 class TestDispatch:
     @pytest.fixture()
     def state(self):
-        return ServerState(batch_window_s=0.0)
+        return ServerState()
 
     def test_unknown_action_envelope(self, state):
         envelope = dispatch(state, "frobnicate", {})
@@ -278,9 +203,21 @@ class TestDispatch:
         assert result["store"] is None
         assert result["hardware_cache"]["reports"] >= 1
 
+    @pytest.mark.parametrize("config", [
+        {"frames": 0}, {"frames": -1},
+        {"amplitude": -0.1}, {"amplitude": 1.5}, {"amplitude": 1e300},
+        {"amplitude": float("inf")}, {"amplitude": float("nan")},
+    ])
+    def test_invalid_fft_config_is_an_invalid_params_envelope(self, state,
+                                                              config):
+        envelope = dispatch(state, "evaluate", {
+            "workload": "fft", "config": dict(WORKLOAD["config"], **config),
+            "adder": "ADD(16)", "energy": False})
+        assert envelope["code"] == ERROR_INVALID_PARAMS
+        assert next(iter(config)) in envelope["message"]
+
     def test_store_backed_state_reports_and_hits(self, tmp_path):
-        state = ServerState(store=str(tmp_path / "store"),
-                            batch_window_s=0.0)
+        state = ServerState(store=str(tmp_path / "store"))
         cold = dispatch(state, "evaluate", dict(WORKLOAD, adder="ADD(16)"))
         assert cold["result"]["cached"] is False
         warm = dispatch(state, "evaluate", dict(WORKLOAD, adder="ADD(16)"))
@@ -300,7 +237,7 @@ class TestDispatch:
 # --------------------------------------------------------------------------- #
 class TestEvalServer:
     def test_http_round_trip_and_error_statuses(self):
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             envelope = query(server.url, "status")
             assert envelope["status"] == "ok"
 
@@ -326,6 +263,20 @@ class TestEvalServer:
                 assert document["status"] == "ok"
                 assert document["action"] == "status"
 
+            # Non-finite numbers are refused at the boundary, before any
+            # handler sees them.
+            for number in (b"NaN", b"Infinity", b"-Infinity", b"1e400"):
+                request = urllib.request.Request(
+                    server.url + "/", method="POST",
+                    data=b'{"action": "evaluate", "params": {"workload": '
+                         b'"fft", "adder": "ADD(16)", "config": '
+                         b'{"amplitude": ' + number + b'}}}')
+                with pytest.raises(urllib.error.HTTPError) as caught:
+                    urllib.request.urlopen(request, timeout=10)
+                assert caught.value.code == 400, number
+                assert json.loads(caught.value.read())["code"] == \
+                    ERROR_BAD_REQUEST
+
             # Any other endpoint is a 400 with an envelope, not a stack dump.
             with pytest.raises(urllib.error.HTTPError) as caught:
                 urllib.request.urlopen(server.url + "/nope", timeout=10)
@@ -343,7 +294,7 @@ class TestEvalServer:
                     for operator, row in zip(operators, direct.rows)}
 
         with EvalServer(store=str(tmp_path / "store"),
-                        batch_window_s=0.05, workers=2) as server:
+                        workers=2) as server:
             envelopes = {}
 
             def hit(operator):
@@ -366,9 +317,39 @@ class TestEvalServer:
             batching = query(server.url, "status")["result"]["batching"]
             assert batching["requests"] == len(operators)
 
+    def test_concurrent_identical_cold_evaluates_share_one_record(
+            self, tmp_path):
+        params = dict(WORKLOAD, adder="ETAII(16,4)", energy=False)
+        direct = (Study().workload("fft", size=16, frames=2)
+                  .adders(["ETAII(16,4)"]).seed(0).backend("lut").run())
+        store = tmp_path / "store"
+        with EvalServer(store=str(store)) as server:
+            barrier = threading.Barrier(6)
+            envelopes = []
+
+            def hit():
+                barrier.wait(timeout=30)
+                envelopes.append(query(server.url, "evaluate", params,
+                                       timeout=60))
+
+            threads = [threading.Thread(target=hit) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=90)
+                assert not thread.is_alive()
+
+            assert len(envelopes) == 6
+            for envelope in envelopes:
+                assert envelope["status"] == "ok", envelope
+                assert envelope["result"]["row"] == wire(direct.rows[0])
+            assert server.state.store.entry_count("sweep") == 1
+        report = ResultStore(store).scrub(quarantine=False)
+        assert report["scanned"] >= 1
+        assert report["corrupt"] == 0
+
     def test_second_identical_query_is_a_warm_store_hit(self, tmp_path):
-        with EvalServer(store=str(tmp_path / "store"),
-                        batch_window_s=0.0) as server:
+        with EvalServer(store=str(tmp_path / "store")) as server:
             params = dict(WORKLOAD, adder="ADD(16)")
             cold = query(server.url, "evaluate", params)
             assert cold["result"]["cached"] is False
@@ -420,8 +401,7 @@ class TestLoadSheddingAndDrain:
     def test_http_503_retry_after_and_client_fallback(self, tmp_path):
         from repro.server.protocol import ERROR_OVERLOADED
 
-        with EvalServer(batch_window_s=0.0, workers=1,
-                        deadline_s=0.05) as server:
+        with EvalServer(workers=1, deadline_s=0.05) as server:
             assert server.state._slots.acquire(timeout=1)
             try:
                 params = dict(WORKLOAD, adder="ADD(16)", energy=False)
@@ -460,7 +440,7 @@ class TestLoadSheddingAndDrain:
     def test_drain_finishes_in_flight_and_refuses_new(self):
         from repro.server import ServerUnavailable
 
-        server = EvalServer(batch_window_s=0.0).start()
+        server = EvalServer().start()
         url = server.url
         assert query(url, "status")["status"] == "ok"
         remaining = server.drain(grace_s=5.0)
@@ -473,7 +453,7 @@ class TestLoadSheddingAndDrain:
         import time as time_module
 
         done = {}
-        state = ServerState(batch_window_s=0.0)
+        state = ServerState()
         server = EvalServer(state=state).start()
 
         def slow_query():
