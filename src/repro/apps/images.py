@@ -20,14 +20,24 @@ def synthetic_image(size: int = 256, seed: int = 2017) -> np.ndarray:
 
     Returns a ``(size, size)`` array of ``uint8`` values in ``[0, 255]``.
     The image is deterministic in ``(size, seed)``, so repeated requests
-    (every sweep point of a study asks for the same stimulus) are served
-    from a small cache; the returned array is marked read-only to keep the
-    cache coherent.
+    (every sweep point of a study asks for the same frames) are served from
+    a per-process cache; the returned array is marked read-only to keep
+    the cache coherent.
     """
     return _synthetic_image_cached(int(size), int(seed))
 
 
-@lru_cache(maxsize=8)
+#: Frames the image memo holds.  A multi-frame study cycles through all of
+#: its frames at every sweep point, so a memo smaller than ``frames`` is
+#: evicted before any frame is asked for again and never hits.  The bound
+#: is several times the largest ``frames`` any image study here uses (10),
+#: so one study's frames survive while a few others run in the same
+#: process.  A ``size``-square frame costs ``size**2`` bytes: 36 KiB at
+#: 192, so the full memo holds 2.25 MiB at that size and 16 MiB at 512.
+_MEMO_FRAMES = 64
+
+
+@lru_cache(maxsize=_MEMO_FRAMES)
 def _synthetic_image_cached(size: int, seed: int) -> np.ndarray:
     if size < 16:
         raise ValueError("image size must be at least 16 pixels")

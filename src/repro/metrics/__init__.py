@@ -20,7 +20,7 @@ from .error import (
     mse_db,
     positional_bit_error_rate,
 )
-from .image import SsimResult, gaussian_window, mssim, ssim
+from .image import SsimReference, SsimResult, gaussian_window, mssim, ssim
 from .signal import psnr_db, signal_mse, snr_db
 from .spectral import ErrorPdf, ErrorPsd, error_pdf, error_psd
 
@@ -48,6 +48,7 @@ __all__ = [
     "psnr_db",
     "snr_db",
     "signal_mse",
+    "SsimReference",
     "SsimResult",
     "ssim",
     "mssim",

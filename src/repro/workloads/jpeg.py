@@ -2,30 +2,88 @@
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..apps.images import synthetic_image
 from ..apps.jpeg import JpegEncoder
 from ..core.context import ApproxContext
-from ..metrics.image import mssim
+from ..metrics.image import SsimReference, mssim
 from .base import OperatorMap, Workload, WorkloadResult
 
-#: Exact-DCT reconstructions memoised by (quality, image fingerprint) so a
-#: sweep encodes the reference once, not once per sweep point.
-_REFERENCE_CACHE: Dict[Tuple[int, str], np.ndarray] = {}
+#: Byte bound of the reference cache.  An entry for an ``n``-square frame
+#: holds three float64 arrays, ``8 * (n**2 + 2 * (n - 10)**2)`` bytes:
+#: 806 KiB at 192, the largest jpeg size any study here uses.  At that
+#: size the bound holds as many frames as the image memo does
+#: (64 * 806 KiB = 50 MiB).
+_REFERENCE_CACHE_BYTES = 64 << 20
 
 
-def _reference_reconstruction(image: np.ndarray, quality: int) -> np.ndarray:
-    key = (int(quality), hashlib.sha1(np.ascontiguousarray(image).tobytes()).hexdigest())
-    if key not in _REFERENCE_CACHE:
-        if len(_REFERENCE_CACHE) > 32:  # sweeps reuse one image; stay bounded
-            _REFERENCE_CACHE.clear()
-        reference = JpegEncoder(quality=quality).encode_decode(image)
-        _REFERENCE_CACHE[key] = reference.reconstructed
-    return _REFERENCE_CACHE[key]
+class _ReferenceCache:
+    """Least-recently-used :class:`SsimReference` entries, bounded in bytes.
+
+    Shared by every thread of the process (the server's worker slots run
+    studies concurrently), so every read and mutation happens under one
+    lock.  Entries are computed outside it: two threads missing the same
+    key both encode, and the second keeps the first one's entry.
+    """
+
+    def __init__(self, limit_bytes: int) -> None:
+        self.limit_bytes = limit_bytes
+        self._entries: "OrderedDict[Hashable, SsimReference]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable) -> Optional[SsimReference]:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: Hashable, entry: SsimReference) -> SsimReference:
+        """Insert ``entry`` unless ``key`` is present; return the kept one.
+
+        An entry larger than the whole bound is returned but not kept.
+        """
+        with self._lock:
+            existing = self._entries.get(key)
+            if existing is not None:
+                self._entries.move_to_end(key)
+                return existing
+            if entry.nbytes > self.limit_bytes:
+                return entry
+            while self._bytes + entry.nbytes > self.limit_bytes:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= evicted.nbytes
+            self._entries[key] = entry
+            self._bytes += entry.nbytes
+            return entry
+
+
+#: Exact-DCT references memoised by (quality, image fingerprint), so the
+#: sweep points of a study encode and filter each reference frame once.
+_REFERENCES = _ReferenceCache(_REFERENCE_CACHE_BYTES)
+
+
+def _build_reference(image: np.ndarray, quality: int) -> SsimReference:
+    """The exact-encoder reconstruction of ``image``, ready for scoring."""
+    reference = JpegEncoder(quality=quality).encode_decode(image)
+    return SsimReference(reference.reconstructed)
+
+
+def _reference(image: np.ndarray, quality: int) -> SsimReference:
+    image = np.ascontiguousarray(image)
+    key = (int(quality), image.shape, image.dtype.str,
+           hashlib.sha1(image.tobytes()).hexdigest())
+    entry = _REFERENCES.get(key)
+    if entry is None:
+        entry = _REFERENCES.put(key, _build_reference(image, quality))
+    return entry
 
 
 @dataclass(frozen=True)
@@ -72,7 +130,10 @@ class JpegWorkload(Workload):
     def run(self, operators: OperatorMap, config: Mapping[str, object],
             rng: np.random.Generator) -> WorkloadResult:
         quality = int(config["quality"])
-        frames = max(1, int(config["frames"]))
+        frames = int(config["frames"])
+        if frames < 1:
+            raise ValueError(f"jpeg config 'frames' must be at least 1, "
+                             f"got {frames}")
         base_seed = int(config.get("seed", 0))
         fixed_image = config.get("image")
         width = int(config["data_width"])
@@ -104,7 +165,7 @@ class JpegWorkload(Workload):
             else:
                 image = synthetic_image(int(config["size"]),
                                         seed=2017 + base_seed + frame)
-            reference = _reference_reconstruction(image, quality)
+            reference = _reference(image, quality)
             outcome = encoder.encode_decode(image)
             scores.append(mssim(reference, outcome.reconstructed))
             total_bits += outcome.estimated_bits

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
+    SsimReference,
     acceptance_curve,
     acceptance_probability,
     bit_error_rate,
@@ -12,6 +13,7 @@ from repro.metrics import (
     error_pdf,
     error_psd,
     error_rate,
+    gaussian_window,
     match_labels,
     mean_absolute_error,
     mse,
@@ -24,6 +26,7 @@ from repro.metrics import (
     ssim,
     success_rate,
 )
+from repro.metrics.image import _filter2_valid
 from repro.operators import ExactAdder, TruncatedAdder
 
 
@@ -128,6 +131,64 @@ class TestImageMetrics:
             mssim(np.zeros((8, 8)), np.zeros((9, 9)))
         with pytest.raises(ValueError):
             mssim(np.zeros((4, 4)), np.zeros((4, 4)))
+
+
+def _mssim_formula(reference, distorted):
+    """SSIM written out in one piece: the reference both paths must match."""
+    ref = np.asarray(reference, dtype=np.float64)
+    dist = np.asarray(distorted, dtype=np.float64)
+    window = gaussian_window(11, 1.5)
+    c1, c2 = (0.01 * 255.0) ** 2, (0.03 * 255.0) ** 2
+    mu_x = _filter2_valid(ref, window)
+    mu_y = _filter2_valid(dist, window)
+    mu_x_sq, mu_y_sq, mu_xy = mu_x ** 2, mu_y ** 2, mu_x * mu_y
+    sigma_x_sq = _filter2_valid(ref * ref, window) - mu_x_sq
+    sigma_y_sq = _filter2_valid(dist * dist, window) - mu_y_sq
+    sigma_xy = _filter2_valid(ref * dist, window) - mu_xy
+    numerator = (2.0 * mu_xy + c1) * (2.0 * sigma_xy + c2)
+    denominator = (mu_x_sq + mu_y_sq + c1) * (sigma_x_sq + sigma_y_sq + c2)
+    return float(np.mean(numerator / denominator))
+
+
+def _image(rng, shape, dtype):
+    if dtype == "uint8":
+        return rng.integers(0, 256, size=shape, dtype=np.uint8)
+    return rng.uniform(-20.0, 275.0, size=shape)
+
+
+class TestSsimReference:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(11, 40), cols=st.integers(11, 40),
+           seed=st.integers(0, 2**32 - 1),
+           ref_dtype=st.sampled_from(["uint8", "float64"]),
+           dist_dtype=st.sampled_from(["uint8", "float64"]))
+    def test_precomputed_reference_is_bit_identical(self, rows, cols, seed,
+                                                    ref_dtype, dist_dtype):
+        rng = np.random.default_rng(seed)
+        x = _image(rng, (rows, cols), ref_dtype)
+        y = _image(rng, (rows, cols), dist_dtype)
+        reference = SsimReference(x)
+        assert mssim(reference, y) == mssim(x, y) == _mssim_formula(x, y)
+        assert np.array_equal(ssim(reference, y).ssim_map, ssim(x, y).ssim_map)
+        wrong = _image(rng, (rows + 1, cols), dist_dtype)
+        with pytest.raises(ValueError):
+            mssim(reference, wrong)
+        with pytest.raises(ValueError):
+            mssim(x, wrong)
+
+    def test_arrays_are_read_only_and_the_input_is_not(self):
+        image = np.random.default_rng(0).uniform(0, 255, (24, 24))
+        reference = SsimReference(image)
+        for array in (reference.reference, reference.mu_x,
+                      reference.sigma_x_sq):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+        assert image.flags.writeable
+
+    def test_window_must_match_the_reference(self):
+        image = np.zeros((24, 24))
+        with pytest.raises(ValueError, match="window_size"):
+            ssim(SsimReference(image), image, window_size=7)
 
 
 class TestAcceptance:

@@ -203,15 +203,24 @@ class TestDispatch:
         assert result["store"] is None
         assert result["hardware_cache"]["reports"] >= 1
 
-    @pytest.mark.parametrize("config", [
-        {"frames": 0}, {"frames": -1},
-        {"amplitude": -0.1}, {"amplitude": 1.5}, {"amplitude": 1e300},
-        {"amplitude": float("inf")}, {"amplitude": float("nan")},
-    ])
+    #: ``(workload, bad config keys)``; each key must be named in the error.
+    INVALID_CONFIGS = [
+        ("fft", {"frames": 0}), ("fft", {"frames": -1}),
+        ("fft", {"amplitude": -0.1}), ("fft", {"amplitude": 1.5}),
+        ("fft", {"amplitude": 1e300}), ("fft", {"amplitude": float("inf")}),
+        ("fft", {"amplitude": float("nan")}),
+        ("jpeg", {"frames": 0}), ("jpeg", {"frames": -3}),
+    ]
+
+    @pytest.mark.parametrize(
+        "workload,config", INVALID_CONFIGS,
+        ids=[f"config{index}" for index in range(len(INVALID_CONFIGS))])
     def test_invalid_fft_config_is_an_invalid_params_envelope(self, state,
+                                                              workload,
                                                               config):
+        base = {"fft": WORKLOAD["config"], "jpeg": {"size": 32}}[workload]
         envelope = dispatch(state, "evaluate", {
-            "workload": "fft", "config": dict(WORKLOAD["config"], **config),
+            "workload": workload, "config": dict(base, **config),
             "adder": "ADD(16)", "energy": False})
         assert envelope["code"] == ERROR_INVALID_PARAMS
         assert next(iter(config)) in envelope["message"]

@@ -221,3 +221,90 @@ class TestSweepDeduplication(object):
         once = default_adder_sweep()
         twice = unique_by_name(list(once) + list(default_adder_sweep()))
         assert [op.name for op in twice] == [op.name for op in once]
+
+
+class TestJpegFrameCaches(object):
+    """Per-frame work of a jpeg study happens once per process."""
+
+    MULTIPLIERS = ["MULt(16,16)", "AAM(16)", "ABM(16)", "BOOTH(16)"]
+
+    @staticmethod
+    def _rows(seed, multipliers, frames):
+        study = Study().workload(f"jpeg(size=32, frames={frames})").seed(seed)
+        study.multipliers(list(multipliers))
+        return study.run().rows
+
+    def test_each_frame_is_generated_and_referenced_once(self, monkeypatch):
+        from repro.apps import images
+        from repro.workloads import jpeg
+
+        built = []
+        build = jpeg._build_reference
+
+        def spy(image, quality):
+            built.append(quality)
+            return build(image, quality)
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)  # in-process
+        monkeypatch.setattr(jpeg, "_build_reference", spy)
+        monkeypatch.setattr(jpeg, "_REFERENCES", jpeg._ReferenceCache(
+            jpeg._REFERENCE_CACHE_BYTES))
+        images._synthetic_image_cached.cache_clear()
+        self._rows(5, self.MULTIPLIERS, frames=12)
+        assert images._synthetic_image_cached.cache_info().misses == 12
+        assert len(built) == 12
+
+        entry = next(iter(jpeg._REFERENCES._entries.values()))
+        for array in (entry.reference, entry.mu_x, entry.sigma_x_sq):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+
+    def test_reference_cache_evicts_least_recent_by_bytes(self):
+        from repro.metrics import SsimReference
+        from repro.workloads.jpeg import _ReferenceCache
+
+        a, b, c = (SsimReference(np.full((16, 16), value))
+                   for value in (1.0, 2.0, 3.0))
+        cache = _ReferenceCache(2 * a.nbytes)
+        assert cache.put("a", a) is a
+        assert cache.put("b", b) is b
+        assert cache.get("a") is a
+        assert cache.put("c", c) is c
+        assert cache.get("b") is None
+        assert cache.get("a") is a and cache.get("c") is c
+        assert cache.put("a", SsimReference(np.zeros((16, 16)))) is a
+        huge = SsimReference(np.zeros((64, 64)))
+        assert cache.put("huge", huge) is huge
+        assert cache.get("huge") is None
+
+    @pytest.mark.parametrize("room", [0, 4])
+    def test_concurrent_studies_share_a_thrashing_cache(self, monkeypatch,
+                                                        room):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.metrics import SsimReference
+        from repro.workloads import jpeg
+
+        multipliers = self.MULTIPLIERS[1:3]
+        # Image seeds are 2017 + study seed + frame: these never overlap.
+        seeds = [100 * index for index in range(8)]
+        serial = {seed: self._rows(seed, multipliers, frames=3)
+                  for seed in seeds}
+        # 24 distinct frames in flight against room for a few entries or
+        # none: an entry that is evicted at once must still be served.
+        entry_bytes = SsimReference(np.zeros((32, 32))).nbytes
+        cache = jpeg._ReferenceCache(room * entry_bytes)
+        monkeypatch.setattr(jpeg, "_REFERENCES", cache)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = {seed: pool.submit(self._rows, seed, multipliers, 3)
+                           for seed in seeds}
+                threaded = {seed: future.result(timeout=300)
+                            for seed, future in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert cache._bytes <= cache.limit_bytes
