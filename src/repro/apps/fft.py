@@ -7,14 +7,20 @@ operations along the way so the datapath energy model (Equation 1) can charge
 them.  Per-stage scaling by 1/2 keeps the butterflies overflow-free, which is
 the classical fixed-point FFT arrangement.
 
+:meth:`FixedPointFFT.forward` takes one frame of ``size`` samples or a
+block of ``(frames, size)`` samples.  A block runs every frame through the
+same context calls — the frame axis rides along as a leading data axis — so
+a design point pays its Python dispatches once, not once per frame, and the
+result's counts cover the whole block.
+
 Execution is *stage-fused* by default: each of the ``log2(size)`` stages
-issues ten batched context calls covering every butterfly at once, with the
-stage's twiddles gathered into a per-element coefficient bank
-(``ctx.mul(..., bank=True)``) so LUT backends can group them by unique
-constant.  ``fused=False`` selects the seed-style per-twiddle loop — one
-round of context calls per twiddle offset — which is bit-identical and
-charges exactly the same operation counts, but pays O(size/2) Python
-dispatches per stage.
+issues ten batched context calls covering every butterfly of every frame at
+once, with the stage's twiddles gathered into a coefficient bank
+(``ctx.mul(..., bank=True)``) that broadcasts over the data so LUT backends
+can group them by unique constant.  ``fused=False`` selects the seed-style
+per-twiddle loop — one round of context calls per twiddle offset, still
+covering every frame — which is bit-identical and charges exactly the same
+operation counts, but pays O(size/2) Python dispatches per stage.
 """
 from __future__ import annotations
 
@@ -30,7 +36,12 @@ from ..core.datapath import OperationCounts
 
 @dataclass(frozen=True)
 class FftResult:
-    """Fixed-point FFT output with the operation inventory of the run."""
+    """Fixed-point FFT output with the operation inventory of the run.
+
+    ``real`` and ``imag`` have the input's shape — ``(size,)`` for one frame,
+    ``(frames, size)`` for a block — and ``counts`` covers every frame the
+    run transformed.
+    """
 
     real: np.ndarray
     imag: np.ndarray
@@ -44,6 +55,10 @@ class FftResult:
 
 class FixedPointFFT:
     """Radix-2 decimation-in-time FFT on 16-bit fixed-point data.
+
+    :meth:`forward` transforms one frame or a ``(frames, size)`` block of
+    frames in one pass; every frame of a block is bit-identical to its own
+    single-frame transform, and the block's counts are their sum.
 
     Parameters
     ----------
@@ -154,7 +169,27 @@ class FixedPointFFT:
 
     def forward(self, real: np.ndarray,
                 imag: Optional[np.ndarray] = None) -> FftResult:
-        """Run the transform on Q1.(data_width-1) integer codes."""
+        """Run the transform on Q1.(data_width-1) integer codes.
+
+        ``real`` is one frame of shape ``(size,)`` or a block of frames of
+        shape ``(frames, size)``; ``imag``, when given, has exactly
+        ``real``'s shape.  A block runs every frame through each stage's
+        context calls at once, so the result's ``real``/``imag`` have the
+        input's shape and its ``counts`` cover the whole block.
+        """
+        x_re = np.asarray(real, dtype=np.int64)
+        if x_re.ndim not in (1, 2) or x_re.shape[-1] != self.size:
+            raise ValueError(
+                f"expected real of shape ({self.size},) or "
+                f"(frames, {self.size}), got {x_re.shape}")
+        if imag is None:
+            x_im = np.zeros_like(x_re)
+        else:
+            x_im = np.asarray(imag, dtype=np.int64)
+            if x_im.shape != x_re.shape:
+                raise ValueError(
+                    f"imag shape {x_im.shape} does not match real shape "
+                    f"{x_re.shape}")
         contexts = self.stage_contexts
         starting: List[Tuple[ApproxContext, OperationCounts]] = []
         seen_ids = set()
@@ -162,14 +197,10 @@ class FixedPointFFT:
             if id(stage_ctx) not in seen_ids:
                 seen_ids.add(id(stage_ctx))
                 starting.append((stage_ctx, stage_ctx.counts))
-        x_re = np.asarray(real, dtype=np.int64).copy()
-        x_im = np.zeros_like(x_re) if imag is None \
-            else np.asarray(imag, dtype=np.int64).copy()
-        if x_re.shape != (self.size,):
-            raise ValueError(f"expected {self.size} samples, got {x_re.shape}")
 
+        # The bit-reverse gather copies, so the caller's arrays stay intact.
         order = self._bit_reverse_permutation(self.size)
-        x_re, x_im = x_re[order], x_im[order]
+        x_re, x_im = x_re[..., order], x_im[..., order]
         tw_re, tw_im = self._twiddles
 
         half = 1
@@ -182,7 +213,8 @@ class FixedPointFFT:
                 # Stage-fused: every butterfly of the stage in one batched
                 # pass — rows are twiddle offsets, columns are the groups
                 # sharing that twiddle, and the twiddle column broadcasts as
-                # a coefficient bank over the whole (half, groups) block.
+                # a coefficient bank over the whole ([frames,] half, groups)
+                # block.
                 offsets = np.arange(half, dtype=np.int64)
                 starts = np.arange(0, self.size, 2 * half, dtype=np.int64)
                 tops = offsets[:, None] + starts[None, :]
@@ -192,8 +224,8 @@ class FixedPointFFT:
                 w_im = tw_im[k][:, None]
 
                 # Pre-scale both branches to keep the butterfly in range.
-                a_re, a_im = self._halve(x_re[tops]), self._halve(x_im[tops])
-                b_re, b_im = self._halve(x_re[bottoms]), self._halve(x_im[bottoms])
+                a_re, a_im = self._halve(x_re[..., tops]), self._halve(x_im[..., tops])
+                b_re, b_im = self._halve(x_re[..., bottoms]), self._halve(x_im[..., bottoms])
 
                 # Complex twiddle multiplication (4 real mult, 2 real add).
                 prod_re = ctx.sub(self._mul(ctx, b_re, w_re, bank=True),
@@ -202,10 +234,10 @@ class FixedPointFFT:
                                   self._mul(ctx, b_im, w_re, bank=True))
 
                 # Butterfly combine (4 real additions).
-                x_re[tops] = ctx.add(a_re, prod_re)
-                x_im[tops] = ctx.add(a_im, prod_im)
-                x_re[bottoms] = ctx.sub(a_re, prod_re)
-                x_im[bottoms] = ctx.sub(a_im, prod_im)
+                x_re[..., tops] = ctx.add(a_re, prod_re)
+                x_im[..., tops] = ctx.add(a_im, prod_im)
+                x_re[..., bottoms] = ctx.sub(a_re, prod_re)
+                x_im[..., bottoms] = ctx.sub(a_im, prod_im)
                 half *= 2
                 continue
             for offset in range(half):
@@ -218,8 +250,8 @@ class FixedPointFFT:
                 w_im = int(tw_im[k])
 
                 # Pre-scale both branches to keep the butterfly in range.
-                a_re, a_im = self._halve(x_re[tops]), self._halve(x_im[tops])
-                b_re, b_im = self._halve(x_re[bottoms]), self._halve(x_im[bottoms])
+                a_re, a_im = self._halve(x_re[..., tops]), self._halve(x_im[..., tops])
+                b_re, b_im = self._halve(x_re[..., bottoms]), self._halve(x_im[..., bottoms])
 
                 # Complex twiddle multiplication (4 real mult, 2 real add).
                 prod_re = ctx.sub(self._mul(ctx, b_re, w_re),
@@ -228,10 +260,10 @@ class FixedPointFFT:
                                   self._mul(ctx, b_im, w_re))
 
                 # Butterfly combine (4 real additions).
-                x_re[tops] = ctx.add(a_re, prod_re)
-                x_im[tops] = ctx.add(a_im, prod_im)
-                x_re[bottoms] = ctx.sub(a_re, prod_re)
-                x_im[bottoms] = ctx.sub(a_im, prod_im)
+                x_re[..., tops] = ctx.add(a_re, prod_re)
+                x_im[..., tops] = ctx.add(a_im, prod_im)
+                x_re[..., bottoms] = ctx.sub(a_re, prod_re)
+                x_im[..., bottoms] = ctx.sub(a_im, prod_im)
             half *= 2
 
         total = OperationCounts()
@@ -244,7 +276,11 @@ class FixedPointFFT:
     # ------------------------------------------------------------------ #
     def reference_spectrum(self, real: np.ndarray,
                            imag: Optional[np.ndarray] = None) -> np.ndarray:
-        """Double-precision FFT with the same 1/N scaling as the datapath."""
+        """Double-precision FFT with the same 1/N scaling as the datapath.
+
+        Transforms along the last axis, so it takes one frame or a
+        ``(frames, size)`` block exactly as :meth:`forward` does.
+        """
         scale = 2.0 ** (-self.frac_bits)
         x = np.asarray(real, dtype=np.float64) * scale
         if imag is not None:

@@ -100,6 +100,38 @@ class TestFFT:
         with pytest.raises(ValueError):
             fft.forward(np.zeros(8, dtype=np.int64))
 
+    @pytest.mark.parametrize("shape", [(), (16,), (2, 16), (2, 3, 32)])
+    def test_real_that_is_not_a_frame_or_block_rejected(self, shape):
+        fft = FixedPointFFT(32)
+        with pytest.raises(ValueError, match=r"\(32,\).*\(frames, 32\)") as info:
+            fft.forward(np.zeros(shape, dtype=np.int64))
+        assert str(shape) in str(info.value)
+
+    @pytest.mark.parametrize("real_shape,imag_shape", [
+        ((32,), (16,)),
+        ((32,), ()),
+        ((32,), (2, 32)),
+        ((2, 32), (32,)),
+        ((2, 32), (3, 32)),
+    ])
+    def test_imag_that_does_not_match_real_rejected(self, real_shape,
+                                                   imag_shape):
+        fft = FixedPointFFT(32)
+        with pytest.raises(ValueError) as info:
+            fft.forward(np.zeros(real_shape, dtype=np.int64),
+                        np.zeros(imag_shape, dtype=np.int64))
+        assert str(imag_shape) in str(info.value)
+        assert str(real_shape) in str(info.value)
+
+    def test_block_of_frames_keeps_its_shape_and_inputs(self):
+        fft = FixedPointFFT(32)
+        block = np.stack([random_q15_signal(32, seed=seed) for seed in range(3)])
+        original = block.copy()
+        result = fft.forward(block)
+        assert result.real.shape == result.imag.shape == (3, 32)
+        assert result.counts == fft.operation_counts().scaled(3)
+        assert np.array_equal(block, original)
+
 
 class TestDCT:
     def test_exact_dct_matches_float_reference(self):

@@ -4,16 +4,21 @@ The contract of the fusion refactor: every application kernel run with
 ``fused=True`` (the default) must produce records *bit-identical* to the
 seed-style per-constant loops (``fused=False``), with exactly the same
 operation counts, on the ``"direct"``, ``"lut"`` and ``"compiled"``
-backends.
+backends.  The FFT's batched frame axis holds to the same contract: a
+``(frames, size)`` block equals its frames transformed one at a time.
 """
 import numpy as np
 import pytest
 
 from repro.core import ApproxContext, clear_table_cache
+from repro.core.backends import DirectBackend
 from repro.apps.dct import FixedPointDCT
 from repro.apps.fft import FixedPointFFT, random_q15_signal
 from repro.apps.hevc_mc import MotionCompensationFilter
 from repro.apps.kmeans import FixedPointKMeans
+from repro.metrics.signal import psnr_db
+from repro.operators import TruncatedAdder
+from repro.workloads import FftWorkload, OperatorMap, fft_output_psnr
 
 #: Operator pairings covering the interesting backend paths: the exact
 #: baseline, a sum-addressable data-sized adder, and functionally
@@ -142,3 +147,101 @@ class TestStudyLevelFusion(object):
             for fused in (True, False):
                 assert self._rows(workload, axis, operators, backend,
                                   fused) == reference, (backend, fused)
+
+
+def assert_block_equals_rows(batched, rows):
+    """A batched FFT result equals its per-frame results, stacked."""
+    assert np.array_equal(batched.real, np.stack([row.real for row in rows]))
+    assert np.array_equal(batched.imag, np.stack([row.imag for row in rows]))
+    total = rows[0].counts
+    for row in rows[1:]:
+        total = total + row.counts
+    assert batched.counts == total
+
+
+@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBatchedFramesEqualStackedFrames(object):
+    """A ``(frames, size)`` block is bit-identical to frame-by-frame runs."""
+
+    @pytest.mark.parametrize("adder,multiplier", OPERATOR_PAIRINGS)
+    def test_homogeneous(self, backend, adder, multiplier, fused):
+        clear_table_cache()
+        real = np.stack([random_q15_signal(64, seed=seed)
+                         for seed in range(3)])
+        imag = np.stack([random_q15_signal(64, amplitude=0.25, seed=seed)
+                         for seed in range(10, 13)])
+        batched = FixedPointFFT(
+            64, context=make_context(backend, adder, multiplier),
+            fused=fused).forward(real, imag)
+        single = FixedPointFFT(
+            64, context=make_context(backend, adder, multiplier), fused=fused)
+        rows = [single.forward(re, im) for re, im in zip(real, imag)]
+        assert_block_equals_rows(batched, rows)
+
+    def test_stage_contexts(self, backend, fused):
+        clear_table_cache()
+        adders = ["ADDt(16,10)", "ACA(16,8)", "ETAIV(16,4)", None,
+                  "ADDt(16,12)", "ACA(16,6)"]
+
+        def transform():
+            contexts = [ApproxContext(adder=adder, backend=backend)
+                        for adder in adders]
+            return FixedPointFFT(64, stage_contexts=contexts, fused=fused)
+
+        real = np.stack([random_q15_signal(64, seed=seed)
+                         for seed in range(4)])
+        batched = transform().forward(real)
+        single = transform()
+        rows = [single.forward(frame) for frame in real]
+        assert_block_equals_rows(batched, rows)
+
+
+def per_frame_output_psnr(fft, signals):
+    """``fft_output_psnr`` as a loop of one ``forward`` per frame."""
+    references = []
+    outputs = []
+    for signal in signals:
+        spectrum = fft.forward(signal).as_complex(frac_bits=fft.frac_bits)
+        reference = fft.reference_spectrum(signal)
+        references.append(np.concatenate([reference.real, reference.imag]))
+        outputs.append(np.concatenate([spectrum.real, spectrum.imag]))
+    return psnr_db(np.concatenate(references), np.concatenate(outputs))
+
+
+@pytest.mark.parametrize("adder", [None, "ACA(16,8)"])
+@pytest.mark.parametrize("size", [2, 32, 1024])
+@pytest.mark.parametrize("frames", [1, 2, 16])
+def test_fft_output_psnr_matches_per_frame_loop(frames, size, adder):
+    signals = [random_q15_signal(size, seed=seed) for seed in range(frames)]
+    batched = fft_output_psnr(
+        FixedPointFFT(size, context=ApproxContext(adder=adder)), signals)
+    looped = per_frame_output_psnr(
+        FixedPointFFT(size, context=ApproxContext(adder=adder)), signals)
+    assert batched.hex() == looped.hex()
+
+
+class CountingBackend(DirectBackend):
+    """The direct backend, counting its ``execute`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def execute(self, *args, **kwargs):
+        self.calls += 1
+        return super().execute(*args, **kwargs)
+
+
+@pytest.mark.parametrize("stage_adders", [
+    None, ("ADDt(16,10)", "ACA(16,8)", "ADDt(16,12)", "ETAIV(16,4)",
+           "ADDt(16,8)")])
+def test_fft_point_issues_ten_backend_calls_per_stage(stage_adders):
+    """Every frame of a design point shares each stage's ten context calls."""
+    backend = CountingBackend()
+    workload = FftWorkload(size=32, frames=16, stage_adders=stage_adders)
+    adder = None if stage_adders else TruncatedAdder(16, 10)
+    operators = OperatorMap(swept=TruncatedAdder(16, 10), adder=adder,
+                            backend=backend)
+    config = workload.merged_config({})
+    workload.run(operators, config, np.random.default_rng(0))
+    assert backend.calls == 5 * 10
