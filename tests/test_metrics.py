@@ -1,4 +1,10 @@
 """Tests for the error, signal, image, acceptance and clustering metrics."""
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +32,11 @@ from repro.metrics import (
     ssim,
     success_rate,
 )
+from repro.metrics.clustering import _max_weight_assignment, confusion_matrix
 from repro.metrics.image import _filter2_valid
 from repro.operators import ExactAdder, TruncatedAdder
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestErrorMetrics:
@@ -291,3 +300,78 @@ class TestClustering:
         permutation = rng.permutation(5)
         relabelled = permutation[reference]
         assert success_rate(reference, relabelled) == pytest.approx(1.0)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match=r"label -1 .*clusters=2"):
+            success_rate([0, 0, 1, 1], [-1, -1, 0, 0])
+
+    def test_label_beyond_explicit_clusters_rejected(self):
+        with pytest.raises(ValueError, match=r"label 3 .*clusters=3"):
+            confusion_matrix([0, 1, 2, 2], [0, 1, 3, 2], clusters=3)
+        with pytest.raises(ValueError, match=r"reference label 5 .*clusters=4"):
+            success_rate([0, 1, 5, 2], [0, 1, 2, 2], clusters=4)
+
+
+def _assignment_weight(matrix, owner):
+    matrix = np.asarray(matrix)
+    return int(matrix[owner, np.arange(matrix.shape[0])].sum())
+
+
+def _seeded_matrices(seed, sizes, count):
+    """Integer matrices with ties (few distinct values) and all-zero rows."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        k = sizes[index % len(sizes)]
+        high = (2, 3, 10, 1000)[index % 4]
+        matrix = rng.integers(0, high, (k, k))
+        if index % 5 == 0:
+            matrix[rng.integers(0, k)] = 0
+        yield matrix
+
+
+class TestMaxWeightAssignment:
+    def test_matches_brute_force_over_every_permutation(self):
+        for matrix in _seeded_matrices(11, sizes=(1, 2, 3, 4, 5, 6), count=300):
+            k = matrix.shape[0]
+            owner = _max_weight_assignment(matrix)
+            assert sorted(owner.tolist()) == list(range(k))
+            best = max(_assignment_weight(matrix, list(p))
+                       for p in itertools.permutations(range(k)))
+            assert _assignment_weight(matrix, owner) == best
+
+    def test_greedy_counterexample(self):
+        # A greedy matcher takes the 3 first and is left with the 0: weight 3.
+        matrix = np.array([[3, 2], [2, 0]])
+        owner = _max_weight_assignment(matrix)
+        assert owner.tolist() == [1, 0]
+        assert _assignment_weight(matrix, owner) == 4
+
+    def test_success_rate_where_greedy_was_wrong(self):
+        # Confusion matrix [[3, 2], [2, 0]]: the optimum matches 4 of 7
+        # points, a greedy matcher 3.
+        reference = np.array([0, 0, 0, 0, 0, 1, 1])
+        labels = np.array([0, 0, 0, 1, 1, 0, 0])
+        assert success_rate(reference, labels) == 4 / 7
+        assert match_labels(reference, labels).tolist() == [1, 1, 1, 0, 0, 1, 1]
+
+    def test_weight_matches_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        sizes = tuple(range(1, 13))
+        for matrix in _seeded_matrices(23, sizes=sizes, count=600):
+            rows, cols = optimize.linear_sum_assignment(-matrix)
+            owner = _max_weight_assignment(matrix)
+            assert _assignment_weight(matrix, owner) == int(matrix[rows, cols].sum())
+
+
+def test_package_import_loads_no_scipy():
+    """No entry point pulls SciPy in, installed or not."""
+    code = ("import sys\n"
+            "import repro, repro.cli, repro.server, repro.search, "
+            "repro.fleet, repro.experiments\n"
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
